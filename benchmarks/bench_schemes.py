@@ -11,8 +11,9 @@ The bench doubles as the scheme-framework acceptance harness:
 
 * the **lockstep gate** (always on) fails the run if lockstep ever
   misses an unmasked CCF — identical replicas compared commit-by-
-  commit have no masking window, so a silent trial there means the
-  classification plumbing is broken, not the scheme;
+  commit have no masking window, so a silent trial or an unflagged
+  hang there means the classification plumbing is broken, not the
+  scheme;
 * ``--safedm-sweep`` re-runs every kernel under ``scheme="safedm"``
   and asserts the result field-for-field identical to the legacy
   (scheme-less) ``run_redundant``, on both execution tiers;
@@ -78,12 +79,15 @@ def bench_matrix(kernels, schemes, num_faults):
 
 
 def lockstep_gate(rows):
-    """Lockstep must detect 100% of unmasked CCFs, everywhere."""
-    missed = [payload for row, payload in rows
-              if row.scheme == "lockstep" and row.silent]
-    for payload in missed:
-        print("FAIL: lockstep let %d CCF(s) escape on %s"
-              % (payload["silent"], payload["kernel"]),
+    """Lockstep must detect 100% of unmasked CCFs, everywhere: a silent
+    trial or a hang the comparator never flagged fails the gate."""
+    missed = [(row, payload) for row, payload in rows
+              if row.scheme == "lockstep" and row.escaped]
+    for row, payload in missed:
+        print("FAIL: lockstep let %d unmasked CCF(s) escape on %s"
+              " (%d silent, %d undetected hang)"
+              % (row.escaped, payload["kernel"], row.silent,
+                 row.count("hang")),
               file=sys.stderr)
     return not missed
 

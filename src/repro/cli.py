@@ -522,8 +522,9 @@ def _cmd_compare_schemes(args) -> int:
         print(matrix_table(rows))
         print()
         # The diversity ≡ 0 control: lockstep must catch every
-        # unmasked CCF; a silent escape there is a framework bug.
-        failures += sum(r.silent for r in rows
+        # unmasked CCF; a silent escape or an unflagged hang there is
+        # a framework bug.
+        failures += sum(r.escaped for r in rows
                         if r.scheme == "lockstep")
     _save_telemetry(args, metrics, tracer, command="compare-schemes",
                     kernels=len(kernels), schemes=len(schemes))

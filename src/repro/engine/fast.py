@@ -304,10 +304,12 @@ def _make_init_me(instrs, core):
 def _make_core_engine(core, plan, estats):
     """Per-core runtime for the generated span loop.
 
-    Returns the argument tuple ``_make_span`` expects for one core (see
-    ``_CORE_ARGS``): live bindings, the deferred-counter list, the cold
-    dispatch helpers, the one-slot ``fbox`` carrying the current
-    superblock link across span boundaries, and the span-exit ``flush``.
+    Returns ``(args, teardown)``.  ``args`` is the argument tuple
+    ``_make_span`` expects for one core (see ``_CORE_ARGS``): live
+    bindings, the deferred-counter list, the cold dispatch helpers, the
+    one-slot ``fbox`` carrying the current superblock link across span
+    boundaries, and the span-exit ``flush``.  ``teardown()`` unlinks
+    the engine once its runner drops it (see :meth:`FastRunner.release`).
 
     The cold helpers own the *superblock former*: a registry of link
     *nodes* (``(pc, fetch_fn)`` tuples) plus the cells that reference
@@ -674,11 +676,27 @@ def _make_core_engine(core, plan, estats):
                                      + guard_d)
         acc[:] = _AZEROS
 
+    def teardown():
+        # Link cells and nodes reference each other along every loop
+        # of the superblock graph; dead-linking the cells and emptying
+        # the registries lets refcounting free a dropped engine.
+        for cells in linked.values():
+            for cell in cells:
+                cell[0] = _DEAD_LINK
+        for recs in guard_pending.values():
+            for rec in recs:
+                rec[1][0] = _DEAD_LINK
+        for registry in (nodes, pending, guard_pending, linked, rebuilds,
+                         branch_meta, issue_recs, me_shapes,
+                         retire_shapes):
+            registry.clear()
+        fbox[0] = None
+
     return (core, stages, acc, sb, sb.occupancy_view(), sb.stats,
             sb.bus.request_store, sb.master, reads, writes, idle_reads,
             idle_writes, ready, dfill, ifill, initiate_me, retire_cold,
             me_cold, issue_cold, fetch_cold, guard_cold, page_cold,
-            fbox, flush)
+            fbox, flush), teardown
 
 
 # -- generated two-core span loop --------------------------------------
@@ -1370,15 +1388,21 @@ class FastRunner:
         self.soc = soc
         self.plan = plan
         self.estats = estats
+        self._teardowns = []
         self._build()
+
+    def _engine(self, core):
+        args, teardown = _make_core_engine(core, self.plan, self.estats)
+        self._teardowns.append(teardown)
+        return args
 
     def _build(self):
         soc = self.soc
         if not _classic_shape(soc):
             self._build_multi()
             return
-        b0 = _make_core_engine(soc.cores[0], self.plan, self.estats)
-        b1 = _make_core_engine(soc.cores[1], self.plan, self.estats)
+        b0 = self._engine(soc.cores[0])
+        b1 = self._engine(soc.cores[1])
         monitor, core_a, core_b = soc._taps[0]
         observe = _noop
         mon_args = (None,) * len(_MON_ARGS)
@@ -1421,7 +1445,7 @@ class FastRunner:
         soc = self.soc
         engines = ()
         for core in soc.cores:
-            engines += _make_core_engine(core, self.plan, self.estats)
+            engines += self._engine(core)
         observe = _make_multi_observe(soc)
         make = _span_maker("multi", num_cores=len(soc.cores),
                            watched=soc._watched_indices())
@@ -1432,9 +1456,23 @@ class FastRunner:
     def _rebuild(self):
         """Recreate closures after external state mutation (restores).
 
-        Live groups may carry handlers bound to the previous engine's
-        deferred-counter and write-port lists; drop them so they
-        re-dispatch through the new engine's shape maps.
+        A restore can also rewind page versions, so plan entries
+        compiled against a version the memory no longer holds are
+        dropped first (see :meth:`ProgramPlan.drop_stale`).
+        """
+        self.release()
+        self.plan.drop_stale()
+        self._build()
+
+    def release(self):
+        """Drop the current per-core engines; the runner must be
+        rebuilt before its next span.
+
+        Live groups may carry handlers bound to the dropped engines'
+        deferred-counter and write-port lists; they are cleared so the
+        groups re-dispatch through the next engine's shape maps.  The
+        engines are unlinked so refcounting frees them (and, once the
+        caller drops it, the SoC) instead of leaving cyclic garbage.
         """
         for core in self.soc.cores:
             for group in core.stages:
@@ -1442,7 +1480,9 @@ class FastRunner:
                     group.issue_fn = None
                     group.me_fn = None
                     group.retire_fn = None
-        self._build()
+        for teardown in self._teardowns:
+            teardown()
+        self._teardowns = []
 
     def run_span(self, stop: int) -> bool:
         """Step the platform until ``soc.cycle == stop`` or every

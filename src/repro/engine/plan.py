@@ -376,6 +376,21 @@ class ProgramPlan:
                 self.build_issue_maker(entry)
                 self.build_fetch_maker(entry, False)
 
+    def drop_stale(self):
+        """Forget entries compiled against a page version the memory
+        no longer holds.
+
+        A state restore can rewind page versions; a later write would
+        then reach an entry's version again with other content.
+        Dropped PCs rebuild on their next fetch.
+        """
+        versions = self.memory.page_versions
+        entries = self.entries
+        for pc in [pc for pc, entry in entries.items()
+                   if entry is not None
+                   and versions.get(entry.page, 0) != entry.version]:
+            del entries[pc]
+
     def entry_at(self, pc: int) -> Optional[PlanEntry]:
         """The entry for ``pc``, built (and cached) on first use."""
         entry = self._build(pc)

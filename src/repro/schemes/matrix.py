@@ -6,7 +6,7 @@ question: for each redundancy scheme, what fraction of unmasked
 common-cause corruptions does it catch, how fast, and at what hardware
 cost?
 
-Each trial runs one kernel under one scheme on a fresh SoC, injects a
+Each trial runs one kernel under one scheme, injects a
 :class:`repro.fault.models.CommonCauseFault` into **every replica** on
 the configured cycle (the same physical disturbance hits all cores;
 what it corrupts is modulated per-core by :func:`state_digest`), then
@@ -28,15 +28,29 @@ digest) is defined per monitored pair only, so matrix trials set it to
 zero for every replica: corruption identity is then exactly
 state-digest identity, the CCF mechanism all five schemes face on
 equal terms.
+
+A row simulates on one SoC.  The golden run and one fault-free prefix
+pass run on the fast tier (:mod:`repro.engine`); the prefix pass stops
+at each fault instant and snapshots the SoC and the scheme checker.
+Every trial restores its instant's snapshot in place, steps the fault
+cycle on the reference interpreter, applies the corruption on its
+closing clock edge (the pair campaign's after-step semantics), and
+runs on the fast tier to the hang budget.  A trap inside a fast span
+replays that trial reference-tier from the same snapshot, since the
+reference tier is the oracle for trap timing; SoC shapes the fast
+tier does not model run reference-tier throughout.  Every trial is
+therefore field-for-field the trial a fresh SoC stepped by the
+reference interpreter from cycle 0 produces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..cpu.core import SimulationError
 from ..fault.campaign import spread_cycles
+from ..fault.injector import _tier_runner
 from ..fault.models import CommonCauseFault
 from ..mem.memory import MemoryError_
 from .base import RedundancyScheme, build_scheme
@@ -88,6 +102,12 @@ class SchemeMatrixRow:
                 + self.count("trap"))
 
     @property
+    def escaped(self) -> int:
+        """Unmasked trials the scheme did not contain: silent ones and
+        hangs no checker flagged."""
+        return self.unmasked - self.covered
+
+    @property
     def coverage(self) -> float:
         unmasked = self.unmasked
         return self.covered / unmasked if unmasked else 1.0
@@ -123,37 +143,72 @@ class SchemeMatrixRow:
         }
 
 
-def _run_watched(soc, scheme: RedundancyScheme, limit: int,
-                 stop_at: Optional[int] = None) -> bool:
-    """Step the reference interpreter until the scheme's replicas all
-    finish, ``limit`` is reached, or ``stop_at`` (when given).  Returns
-    True when every watched replica finished."""
-    cores = [soc.cores[idx] for idx in scheme.watched()]
-    step = soc.step
-    bound = limit if stop_at is None else min(limit, stop_at)
-    while soc.cycle < bound:
-        if all(core.finished for core in cores):
-            return True
-        step()
+def _advance(soc, runner, cores, stop: int) -> bool:
+    """Run to absolute cycle ``stop`` or until every watched replica
+    finishes: one fast-tier span when ``runner`` is given, the
+    reference interpreter otherwise.  Returns True when they all
+    have."""
+    if runner is not None:
+        runner.run_span(stop)
+    else:
+        step = soc.step
+        while soc.cycle < stop and not all(core.finished
+                                           for core in cores):
+            step()
     return all(core.finished for core in cores)
+
+
+def _finish(soc, scheme: RedundancyScheme):
+    for monitor in soc.monitors:
+        monitor.finish()
+    scheme.finish(soc)
+
+
+def _capture(soc, scheme: RedundancyScheme):
+    return soc.state_dict(), scheme.state_dict()
+
+
+def _restore(soc, scheme: RedundancyScheme, runner, snapshot):
+    """Rewind the row's SoC and scheme checker to ``snapshot`` in
+    place.  The runner's engines are released first, while the groups
+    in flight that carry their handlers are still in the pipeline."""
+    if runner is not None:
+        runner.release()
+    soc_state, scheme_state = snapshot
+    soc.load_state_dict(soc_state)
+    scheme.load_state_dict(scheme_state)
+
+
+def _respecialize(runner):
+    """Rebuild the fast tier over a SoC whose state was replaced."""
+    if runner is not None:
+        runner._rebuild()
 
 
 def _golden(scheme: RedundancyScheme, program, benchmark, config,
             max_cycles: int):
-    """Fault-free run: (soc, outputs, cycles)."""
+    """Fault-free fast-tier run on the row's SoC, which is then rewound
+    to cycle 0 for the prefix pass.
+
+    Returns ``(soc, runner, outputs, cycles)``.
+    """
     soc = scheme.build(config)
     scheme.start(soc, program, benchmark=benchmark)
-    finished = _run_watched(soc, scheme, max_cycles)
-    for monitor in soc.monitors:
-        monitor.finish()
-    scheme.finish(soc)
+    start = _capture(soc, scheme)
+    runner = _tier_runner(soc, "fast")
+    cores = [soc.cores[idx] for idx in scheme.watched()]
+    finished = _advance(soc, runner, cores, max_cycles)
+    _finish(soc, scheme)
     if not finished:
         raise RuntimeError("golden %s run did not finish in %d cycles"
                            % (scheme.kind, max_cycles))
     if scheme.error_detected(soc):
         raise RuntimeError("golden %s run raised its error signal"
                            % scheme.kind)
-    return soc, scheme.outputs(soc), soc.cycle
+    outputs, cycles = scheme.outputs(soc), soc.cycle
+    _restore(soc, scheme, runner, start)
+    _respecialize(runner)
+    return soc, runner, outputs, cycles
 
 
 def _classify(scheme: RedundancyScheme, soc, finished: bool,
@@ -194,12 +249,10 @@ def run_scheme_trials(scheme, program, benchmark: str = "program",
 
     ``scheme`` is anything :func:`repro.schemes.base.build_scheme`
     accepts (a kind string, a :class:`SchemeSpec`, or an instance).
-    Every trial uses a fresh SoC; the fault cycle is stepped first and
-    the corruption applied on its closing clock edge, matching the
-    pair campaign's after-step semantics.
+    See the module docstring for how the trials are simulated.
     """
     sch = build_scheme(scheme)
-    _, golden_outputs, golden_cycles = _golden(
+    soc, runner, golden_outputs, golden_cycles = _golden(
         sch, program, benchmark, config, max_cycles)
     row = SchemeMatrixRow(scheme=sch.kind, benchmark=benchmark,
                           golden_cycles=golden_cycles,
@@ -210,42 +263,62 @@ def run_scheme_trials(scheme, program, benchmark: str = "program",
     # lengths is ample for every legitimate post-fault path, and hangs
     # are classified, not simulated to the bitter end.
     budget = min(max_cycles, 4 * golden_cycles + 20_000)
-    for stimulus in stimuli:
-        for fault_cycle in cycles:
-            row.trials.append(_one_trial(
-                sch, program, benchmark, config, fault_cycle,
-                stimulus, golden_outputs, budget))
+    cores = [soc.cores[idx] for idx in sch.watched()]
+    # Instant-major: only the current instant's snapshot is alive.
+    grid = [[None] * len(cycles) for _ in stimuli]
+    try:
+        for j, fault_cycle in enumerate(cycles):
+            _advance(soc, runner, cores, min(fault_cycle, budget))
+            snapshot = _capture(soc, sch)
+            for i, stimulus in enumerate(stimuli):
+                fault = CommonCauseFault(cycle=fault_cycle,
+                                         stimulus=stimulus)
+                grid[i][j] = _one_trial(soc, sch, runner, cores,
+                                        snapshot, fault, golden_outputs,
+                                        budget)
+            if j + 1 < len(cycles):
+                # Resume the prefix pass where this instant left it.
+                _restore(soc, sch, runner, snapshot)
+                _respecialize(runner)
+    finally:
+        if runner is not None:
+            runner.release()
+    row.trials = [trial for trials in grid for trial in trials]
     return row
 
 
-def _one_trial(sch: RedundancyScheme, program, benchmark, config,
-               fault_cycle: int, stimulus: int, golden_outputs,
+def _one_trial(soc, sch: RedundancyScheme, runner, cores, snapshot,
+               fault: CommonCauseFault, golden_outputs,
                max_cycles: int) -> SchemeTrial:
-    fault = CommonCauseFault(cycle=fault_cycle, stimulus=stimulus)
-    soc = sch.build(config)
-    sch.start(soc, program, benchmark=benchmark)
+    """One trial from its instant's ``snapshot`` (``soc.cycle`` is the
+    fault cycle once restored)."""
+    _restore(soc, sch, runner, snapshot)
     trapped = False
-    finished = False
     effects = []
+    finished = all(core.finished for core in cores)
     try:
-        finished = _run_watched(soc, sch, max_cycles,
-                                stop_at=fault_cycle)
-        if not finished and soc.cycle == fault_cycle \
+        if not finished and soc.cycle == fault.cycle \
                 and soc.cycle < max_cycles:
             soc.step()
-            for idx in sch.watched():
-                effect = fault.effect_on(soc.cores[idx], activity=0)
-                effect.apply(soc.cores[idx])
+            for core in cores:
+                effect = fault.effect_on(core, activity=0)
+                effect.apply(core)
                 effects.append((effect.register, effect.bit))
-            finished = _run_watched(soc, sch, max_cycles)
+            _respecialize(runner)
+            finished = _advance(soc, runner, cores, max_cycles)
     except (MemoryError_, SimulationError):
+        if runner is not None:
+            # The fast tier's block granularity can surface a trap at
+            # a tier-dependent cycle; the reference tier is the oracle
+            # for trap timing, so replay this trial on it.
+            runner.release()
+            return _one_trial(soc, sch, None, cores, snapshot, fault,
+                              golden_outputs, max_cycles)
         trapped = True
-    for monitor in soc.monitors:
-        monitor.finish()
-    sch.finish(soc)
+    _finish(soc, sch)
     trial = _classify(sch, soc, finished, trapped, golden_outputs,
-                      fault_cycle)
-    trial.stimulus = stimulus
+                      fault.cycle)
+    trial.stimulus = fault.stimulus
     trial.effects = tuple(effects)
     return trial
 

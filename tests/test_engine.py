@@ -349,6 +349,47 @@ def test_self_modifying_code_invalidates_superblock_page():
     assert stats.deopt_reasons.get("recompile", 0) >= 1
 
 
+#: Stores the word the test leaves in t5 over ``patch`` and executes
+#: it after a spin whose loop exit is the only path that fetches it
+#: (the store has long drained by then).
+PATCH_SOURCE = """
+_start:
+    li s0, 0
+    la t6, patch
+    sw t5, 0(t6)
+    li t0, 0
+    li t1, 40
+spin:
+    addi t0, t0, 1
+    bge t0, t1, patch
+    j spin
+patch:
+    nop
+%s
+""" % store_result("s0")
+
+
+def test_restore_in_place_drops_plan_entries_of_rewound_pages():
+    """Two runs from one restored snapshot write different code at the
+    same page version; the second must not run the first's entry."""
+    from repro.fault.injector import _tier_runner
+
+    prog = assemble(PATCH_SOURCE, base=0x0001_0000)
+    soc = MPSoC()
+    soc.start_redundant(prog)
+    start = soc.state_dict()
+    runner = _tier_runner(soc, "fast")
+    for imm in (1, 2):
+        soc.load_state_dict(start)
+        word = next(iter(assemble("addi s0, s0, %d" % imm).words()))[1]
+        for index in soc.monitored:
+            soc.cores[index].regfile.values[30] = word
+        runner._rebuild()
+        runner.run_span(MAX_CYCLES)
+        assert [soc.cores[i].regfile.values[8]
+                for i in soc.monitored] == [imm, imm]
+
+
 def test_resolve_engine_validates():
     assert resolve_engine(None) == "reference"
     assert resolve_engine("fast") == "fast"

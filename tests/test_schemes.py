@@ -7,10 +7,17 @@ honest on a fast kernel subset.
 """
 
 import dataclasses
+import functools
+import importlib.util
+import pathlib
 
 import pytest
 
-from repro.schemes import SCHEME_KINDS, SchemeSpec, make_scheme
+from repro.cpu.core import SimulationError
+from repro.fault.campaign import spread_cycles
+from repro.fault.models import CommonCauseFault
+from repro.mem.memory import MemoryError_
+from repro.schemes import SCHEME_KINDS, SchemeSpec, make_scheme, matrix
 from repro.schemes.base import (
     RedundancyScheme,
     build_scheme,
@@ -22,7 +29,12 @@ from repro.schemes.dme import (
     dme_register_map,
     dme_transform_report,
 )
-from repro.schemes.matrix import matrix_table, run_scheme_trials
+from repro.schemes.matrix import (
+    SchemeMatrixRow,
+    SchemeTrial,
+    matrix_table,
+    run_scheme_trials,
+)
 from repro.schemes.tmr import MajorityVoter, majority_value
 from repro.soc.config import SocConfig
 from repro.soc.experiment import run_redundant
@@ -324,3 +336,179 @@ class TestWatchedCores:
         from repro.soc.mpsoc import MPSoC
         soc = MPSoC()
         assert soc._watched_indices() == (0, 1)
+
+
+#: cosf under this stimulus has trap (lockstep, tmr, dme), corrected
+#: (tmr) and detected (lockstep, multipair, dme) trials at 4 faults.
+STIMULUS = 1240859969
+NUM_FAULTS = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(kind):
+    """From-scratch reference-tier trials on cosf: a fresh SoC per
+    trial, stepped by ``soc.step()`` from cycle 0.  Returns
+    ``(golden_output, golden_cycles, trials)``."""
+    prog = program("cosf")
+    scheme = build_scheme(kind)
+    max_cycles = 2_000_000
+
+    def fresh():
+        soc = scheme.build()
+        scheme.start(soc, prog, benchmark="cosf")
+        cores = [soc.cores[idx] for idx in scheme.watched()]
+        return soc, cores, lambda: all(core.finished for core in cores)
+
+    def finish(soc):
+        for monitor in soc.monitors:
+            monitor.finish()
+        scheme.finish(soc)
+
+    soc, _, done = fresh()
+    while soc.cycle < max_cycles and not done():
+        soc.step()
+    finish(soc)
+    golden_outputs, golden_cycles = scheme.outputs(soc), soc.cycle
+    budget = min(max_cycles, 4 * golden_cycles + 20_000)
+    trials = []
+    for cycle in spread_cycles(golden_cycles, NUM_FAULTS):
+        fault = CommonCauseFault(cycle=cycle, stimulus=STIMULUS)
+        soc, cores, done = fresh()
+        effects = []
+        trapped = False
+        try:
+            while soc.cycle < cycle and not done():
+                soc.step()
+            if not done() and soc.cycle == cycle < budget:
+                soc.step()
+                for core in cores:
+                    effect = fault.effect_on(core, activity=0)
+                    effect.apply(core)
+                    effects.append((effect.register, effect.bit))
+                while soc.cycle < budget and not done():
+                    soc.step()
+        except (MemoryError_, SimulationError):
+            trapped = True
+        finish(soc)
+        trial = matrix._classify(scheme, soc, done(), trapped,
+                                 golden_outputs, cycle)
+        trial.stimulus = STIMULUS
+        trial.effects = tuple(effects)
+        trials.append(trial)
+    return golden_outputs[0], golden_cycles, trials
+
+
+def _row(kind):
+    return run_scheme_trials(kind, program("cosf"), benchmark="cosf",
+                             num_faults=NUM_FAULTS, stimuli=(STIMULUS,))
+
+
+class TestTrialPathEquivalence:
+    """Prefix snapshots + fast tier + reference fault cycle + trap
+    replay == a fresh SoC stepped by the reference interpreter."""
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_rows_match_the_reference_oracle(self, kind):
+        golden_output, golden_cycles, trials = _oracle(kind)
+        row = _row(kind)
+        assert row.golden_output == golden_output
+        assert row.golden_cycles == golden_cycles
+        assert [dataclasses.asdict(t) for t in row.trials] \
+            == [dataclasses.asdict(t) for t in trials]
+
+    def test_oracle_rows_cover_every_verdict_path(self):
+        kinds = {kind: {t.classification for t in _oracle(kind)[2]}
+                 for kind in ("lockstep", "tmr", "dme")}
+        assert all("trap" in classes for classes in kinds.values())
+        assert "corrected" in kinds["tmr"]
+        assert "detected" in kinds["lockstep"]
+
+    def test_trap_inside_a_fast_span_replays_reference_tier(
+            self, monkeypatch):
+        calls = []
+        one_trial = matrix._one_trial
+
+        def spy(soc, sch, runner, *args):
+            calls.append(runner is None)
+            return one_trial(soc, sch, runner, *args)
+        monkeypatch.setattr(matrix, "_one_trial", spy)
+        row = _row("lockstep")
+        # Four fast-tier trials, plus one reference replay per trap.
+        replays = sum(calls)
+        assert replays >= 1 and len(calls) == NUM_FAULTS + replays
+        traps = [(t.fault_cycle, t.latency) for t in row.trials
+                 if t.classification == "trap"]
+        assert traps
+        assert traps == [(t.fault_cycle, t.latency)
+                         for t in _oracle("lockstep")[2]
+                         if t.classification == "trap"]
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_restore_in_place_round_trip(self, kind):
+        scheme = build_scheme(kind)
+        soc, runner, golden_outputs, golden_cycles = matrix._golden(
+            scheme, program("cosf"), "cosf", None, 2_000_000)
+        assert runner is not None
+        cores = [soc.cores[idx] for idx in scheme.watched()]
+        cycle = spread_cycles(golden_cycles, NUM_FAULTS)[1]
+        matrix._advance(soc, runner, cores, cycle)
+        snapshot = matrix._capture(soc, scheme)
+        fault = CommonCauseFault(cycle=cycle, stimulus=STIMULUS)
+        budget = 4 * golden_cycles + 20_000
+        first = matrix._one_trial(soc, scheme, runner, cores, snapshot,
+                                  fault, golden_outputs, budget)
+        end_state = soc.state_dict()
+        again = matrix._one_trial(soc, scheme, runner, cores, snapshot,
+                                  fault, golden_outputs, budget)
+        assert again == first
+        assert soc.state_dict() == end_state
+
+
+def _lockstep_row(*classifications):
+    row = SchemeMatrixRow(
+        scheme="lockstep", benchmark="cosf", golden_cycles=12440,
+        golden_output=0, hardware=build_scheme("lockstep").hardware_cost())
+    row.trials = [SchemeTrial(fault_cycle=16, stimulus=STIMULUS,
+                              classification=c, latency=-1, outputs=(),
+                              effects=()) for c in classifications]
+    return row
+
+
+def _bench_schemes(monkeypatch):
+    bench_dir = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+    monkeypatch.syspath_prepend(str(bench_dir))
+    spec = importlib.util.spec_from_file_location(
+        "bench_schemes", bench_dir / "bench_schemes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLockstepGate:
+    """A lockstep hang the comparator never flagged is an unmasked,
+    uncovered CCF: the gates count it like a silent trial."""
+
+    def test_undetected_hang_escapes(self):
+        row = _lockstep_row("masked", "detected", "hang", "trap")
+        assert row.silent == 0
+        assert row.unmasked == 3 and row.covered == 2
+        assert row.escaped == 1
+
+    def test_bench_gate_fails_on_undetected_hang(self, monkeypatch):
+        bench = _bench_schemes(monkeypatch)
+        payload = {"kernel": "cosf"}
+        assert not bench.lockstep_gate(
+            [(_lockstep_row("detected", "hang"), payload)])
+        assert bench.lockstep_gate(
+            [(_lockstep_row("masked", "detected", "trap"), payload)])
+
+    def test_compare_schemes_exit_code(self, monkeypatch, capsys):
+        import repro.fault
+        from repro.cli import main
+        rows = {"bad": [_lockstep_row("detected", "hang")],
+                "good": [_lockstep_row("masked", "detected")]}
+        for name, expected in (("bad", 1), ("good", 0)):
+            monkeypatch.setattr(repro.fault, "run_scheme_matrix",
+                                lambda *args, name=name, **kw: rows[name])
+            assert main(["compare-schemes", "cosf",
+                         "--schemes", "lockstep"]) == expected
